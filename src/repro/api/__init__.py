@@ -19,9 +19,12 @@ Quickstart::
     print(handle.results())       # the parsed results.json aggregate
 
 Exit codes and HTTP statuses come from one table in
-:mod:`repro.api.errors`; job option validation shares its table with
-the argparse parsers (:mod:`repro.campaign.options`), so the CLI, the
-API and the service can never drift.
+:mod:`repro.api.errors`.  Each campaign kind is declared once, as its
+spec dataclass: the field metadata renders the ``repro <kind>``
+subparser, and one coercion rule (:func:`~repro.api.jobs.coerce_value`)
+normalizes spec fields and :class:`RunOptions` on construction — so
+the CLI, the API and the service build the same spec, and the same
+job id, from the same values.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .facade import (
     prepare,
     run_campaign,
     self_healing_lines,
-    submit_grid,
 )
 from .jobs import (
     JOB_KINDS,
@@ -77,7 +79,6 @@ __all__ = [
     # facade
     "prepare",
     "run_campaign",
-    "submit_grid",
     "CampaignHandle",
     "RunOptions",
     "campaign_dir",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -53,6 +53,7 @@ from .jobs import (
     CampaignOutcome,
     CampaignStatus,
     CapacityJob,
+    Declared,
     FigureJob,
     GridJob,
     JobSpec,
@@ -60,6 +61,7 @@ from .jobs import (
     StreamJob,
     SweepJob,
     TrainJob,
+    arg,
 )
 
 
@@ -96,28 +98,59 @@ def campaign_dir(
 
 
 @dataclass(frozen=True)
-class RunOptions:
+class RunOptions(Declared):
     """Per-run execution options (the campaign flags of the CLI).
 
     These deliberately exclude everything hashed into the campaign
     directory: two runs with different ``RunOptions`` share one
-    manifest and resume each other.
+    manifest and resume each other.  Each field is declared with
+    :func:`~repro.api.jobs.arg`, so it renders as a ``repro <kind>``
+    flag for every kind whose ``option_groups`` include its group and
+    is validated by the same coercion rule in a REST submission.
     """
 
-    jobs: int = 1
-    fresh: bool = False
-    retries: int = 3
-    step_timeout: float | None = None
-    no_quarantine: bool = False
-    faults: str | None = None
-    trace: bool = False
-
-    @classmethod
-    def from_mapping(cls, data: dict | None) -> "RunOptions":
-        """Build from a validated job-option dict, ignoring extras."""
-        data = dict(data or {})
-        known = {f.name for f in dataclass_fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
+    fresh: bool = arg(
+        False, help="ignore the campaign manifest and re-run every step"
+    )
+    jobs: int = arg(
+        1,
+        group="jobs",
+        help="worker processes scheduling independent steps "
+        "concurrently (1 = serial; results are byte-identical "
+        "either way)",
+    )
+    retries: int = arg(
+        3,
+        group="robustness",
+        help="max attempts per step for transient failures "
+        "(1 = no retry; backoff is deterministic per step)",
+    )
+    step_timeout: float | None = arg(
+        None,
+        group="robustness",
+        help="per-attempt wall-time budget of worker steps in "
+        "seconds; a hung worker is killed and the step requeued",
+    )
+    no_quarantine: bool = arg(
+        False,
+        group="robustness",
+        help="abort on the first permanently failed step instead of "
+        "quarantining it and finishing independent DAG branches",
+    )
+    faults: str | None = arg(
+        None,
+        group="robustness",
+        help="arm a fault-injection plan for chaos testing: a built-in "
+        f"name ({', '.join(sorted(faults.BUILTIN_PLANS))}) or the path "
+        "of a plan JSON file (also: $REPRO_FAULT_PLAN)",
+    )
+    trace: bool = arg(
+        False,
+        help="record a structured span journal under "
+        "<campaign dir>/trace (inspect with `repro trace summary`); "
+        "wall-clock side-channel only — payloads, cache keys and "
+        "manifests stay byte-identical",
+    )
 
 
 def self_healing_lines(result, plan) -> list[str]:
@@ -166,8 +199,6 @@ class CampaignHandle:
         context: CampaignContext,
         cache: DatasetCache,
         registry: ModelCheckpointRegistry | None,
-        supports_robustness: bool,
-        supports_jobs: bool,
         stale_hook: Callable[[], None] | None,
         summarize: Callable[..., list[str]],
     ) -> None:
@@ -177,8 +208,6 @@ class CampaignHandle:
         self.cache = cache
         self.registry = registry
         self.directory = context.directory
-        self.supports_robustness = supports_robustness
-        self.supports_jobs = supports_jobs
         self._stale_hook = stale_hook
         self._summarize = summarize
 
@@ -207,7 +236,8 @@ class CampaignHandle:
         quarantined).
         """
         options = options or RunOptions()
-        if not self.supports_robustness and options.faults is not None:
+        robust = "robustness" in self.spec.option_groups
+        if not robust and options.faults is not None:
             raise ConfigurationError(
                 f"{self.kind} campaigns do not support fault injection"
             )
@@ -215,7 +245,7 @@ class CampaignHandle:
             self._stale_hook()
         plan = None
         traced = False
-        if self.supports_robustness and options.faults is not None:
+        if robust and options.faults is not None:
             plan = faults.resolve_plan(
                 options.faults,
                 state_dir=self.directory / "faults" / "state",
@@ -229,11 +259,12 @@ class CampaignHandle:
             )
             traced = True
         try:
-            if self.supports_robustness:
+            if robust:
+                parallel = "jobs" in self.spec.option_groups
                 result = self.campaign.run(
                     self.context,
                     resume=not options.fresh,
-                    jobs=options.jobs if self.supports_jobs else 1,
+                    jobs=options.jobs if parallel else 1,
                     retry=RetryPolicy(
                         max_attempts=options.retries,
                         timeout_s=options.step_timeout,
@@ -372,29 +403,41 @@ class CampaignHandle:
 
 
 # -- per-kind builders ---------------------------------------------------
-def _invalidate_stale_train_steps(
+#: Step-id prefix of the checkpoint-resolving steps -> (noun of the
+#: verbose notice, payload -> recorded model key or ``None``).
+_CHECKPOINT_STEPS = {
+    "train": ("step", lambda payload: payload["key"]),
+    "point": (
+        "point",
+        lambda payload: payload["record"].get("vvd", {}).get("key"),
+    ),
+}
+
+
+def _invalidate_stale_steps(
     campaign: Campaign,
     context: CampaignContext,
     registry: ModelCheckpointRegistry,
-    step_prefix: str = "train@",
-    noun: str = "step",
 ) -> None:
-    """Re-open ``done`` train steps whose checkpoint has vanished.
+    """Re-open ``done`` steps whose model checkpoint has vanished.
 
     The campaign manifest can outlive the model registry (a wiped or
     different model dir); trusting it blindly would replay the stored
     report and claim "100% checkpoint hits" over models that no longer
-    exist.  Any completed ``train@`` step whose recorded key is absent
-    from the registry — or whose payload is unreadable — is marked
+    exist.  Any completed ``train@`` step (train and stream campaigns)
+    or VVD ``point@`` step (grids) whose recorded key is absent from
+    the registry — or whose payload is unreadable — is marked
     ``pending`` again (along with the ``report`` step) so the run
     re-resolves it.
     """
     stale = []
     for step in campaign.steps:
-        if not step.step_id.startswith(step_prefix):
+        prefix, _, rest = step.step_id.partition("@")
+        if not rest or prefix not in _CHECKPOINT_STEPS:
             continue
         if campaign.manifest.status(step.step_id) != STATUS_DONE:
             continue
+        key_of = _CHECKPOINT_STEPS[prefix][1]
         path = context.output_path(step.step_id)
         if not path.exists():
             # The runner will re-execute the step anyway (its skip
@@ -403,51 +446,8 @@ def _invalidate_stale_train_steps(
             stale.append(step.step_id)
             continue
         try:
-            key = json.loads(path.read_text())["key"]
-        except (json.JSONDecodeError, KeyError, TypeError):
-            stale.append(step.step_id)
-            continue
-        if not registry.has_key(key):
-            stale.append(step.step_id)
-    if stale:
-        for step_id in stale:
-            campaign.manifest.mark(step_id, STATUS_PENDING)
-        campaign.manifest.mark("report", STATUS_PENDING)
-    if stale and context.verbose:
-        log.info(
-            f"{len(stale)} completed {noun}(s) lost their checkpoint; "
-            "re-resolving"
-        )
-
-
-def _invalidate_stale_grid_steps(
-    campaign: Campaign,
-    context: CampaignContext,
-    registry: ModelCheckpointRegistry,
-) -> None:
-    """Re-open ``done`` grid points whose VVD checkpoint has vanished.
-
-    The grid analogue of :func:`_invalidate_stale_train_steps`: any
-    completed ``point@`` step whose recorded model key is absent from
-    the registry — or whose payload is unreadable — is marked
-    ``pending`` again (along with the ``report`` step) so the run
-    re-resolves it instead of replaying a stale "100% checkpoint hits"
-    claim.
-    """
-    stale = []
-    for step in campaign.steps:
-        if not step.step_id.startswith("point@"):
-            continue
-        if campaign.manifest.status(step.step_id) != STATUS_DONE:
-            continue
-        path = context.output_path(step.step_id)
-        if not path.exists():
-            stale.append(step.step_id)
-            continue
-        try:
-            record = json.loads(path.read_text())["record"]
-            key = record.get("vvd", {}).get("key")
-        except (json.JSONDecodeError, KeyError, TypeError):
+            key = key_of(json.loads(path.read_text()))
+        except (json.JSONDecodeError, KeyError, TypeError, AttributeError):
             stale.append(step.step_id)
             continue
         if key is not None and not registry.has_key(key):
@@ -457,8 +457,9 @@ def _invalidate_stale_grid_steps(
             campaign.manifest.mark(step_id, STATUS_PENDING)
         campaign.manifest.mark("report", STATUS_PENDING)
     if stale and context.verbose:
+        noun = _CHECKPOINT_STEPS[stale[0].partition("@")[0]][0]
         log.info(
-            f"{len(stale)} completed point(s) lost their checkpoint; "
+            f"{len(stale)} completed {noun}(s) lost their checkpoint; "
             "re-resolving"
         )
 
@@ -509,8 +510,6 @@ def _build_sweep(spec: SweepJob, env: "_Env") -> CampaignHandle:
         context=context,
         cache=cache,
         registry=None,
-        supports_robustness=True,
-        supports_jobs=False,
         stale_hook=None,
         summarize=_summarize_sweep,
     )
@@ -567,9 +566,7 @@ def _build_train(spec: TrainJob, env: "_Env") -> CampaignHandle:
         context=context,
         cache=cache,
         registry=registry,
-        supports_robustness=True,
-        supports_jobs=False,
-        stale_hook=lambda: _invalidate_stale_train_steps(
+        stale_hook=lambda: _invalidate_stale_steps(
             campaign, context, registry
         ),
         summarize=_summarize_train,
@@ -593,18 +590,13 @@ def _summarize_figure(handle, result, plan, options) -> list[str]:
 def _build_figure(spec: FigureJob, env: "_Env") -> CampaignHandle:
     scenario = get_scenario(spec.scenario)
     config = scenario.resolve()
+    # Names are checked against the field's choices on construction;
+    # 'all' expands in place, first mention wins.
     names: list[str] = []
     for name in spec.names:
-        if name == "all":
-            names.extend(f for f in FIGURE_NAMES if f not in names)
-        elif name in FIGURE_NAMES:
-            if name not in names:
-                names.append(name)
-        else:
-            raise NotFoundError(
-                f"unknown figure {name!r}; known figures: "
-                f"{', '.join(FIGURE_NAMES)} (or 'all')"
-            )
+        for figure in FIGURE_NAMES if name == "all" else (name,):
+            if figure not in names:
+                names.append(figure)
     cache = env.cache()
     options = {
         "figures": names,
@@ -636,8 +628,6 @@ def _build_figure(spec: FigureJob, env: "_Env") -> CampaignHandle:
         context=context,
         cache=cache,
         registry=context.checkpoints,
-        supports_robustness=False,
-        supports_jobs=False,
         stale_hook=None,
         summarize=_summarize_figure,
     )
@@ -777,11 +767,9 @@ def _build_stream(spec: StreamJob, env: "_Env") -> CampaignHandle:
         context=context,
         cache=cache,
         registry=registry,
-        supports_robustness=True,
-        supports_jobs=True,
         stale_hook=(
             (
-                lambda: _invalidate_stale_train_steps(
+                lambda: _invalidate_stale_steps(
                     campaign, context, registry
                 )
             )
@@ -815,7 +803,7 @@ def _build_capacity(spec: CapacityJob, env: "_Env") -> CampaignHandle:
 
     traffic = validate_traffic(spec.traffic)
     get_qos_mix(spec.qos)
-    link_counts = sorted({int(n) for n in spec.links})
+    link_counts = sorted(set(spec.links))
     cache = env.cache()
     options = {
         "links": link_counts,
@@ -857,8 +845,6 @@ def _build_capacity(spec: CapacityJob, env: "_Env") -> CampaignHandle:
         context=context,
         cache=cache,
         registry=None,
-        supports_robustness=True,
-        supports_jobs=True,
         stale_hook=None,
         summarize=_summarize_capacity,
     )
@@ -912,7 +898,7 @@ def _build_grid(spec: GridJob, env: "_Env") -> CampaignHandle:
         ],
         "base": grid_spec.base,
         "suite": spec.suite,
-        "vvd": bool(spec.vvd),
+        "vvd": spec.vvd,
         "horizon": spec.horizon if spec.vvd else None,
         "vvd_seed": spec.seed,
         "model_salt": MODEL_CACHE_SALT if needs_models else None,
@@ -945,11 +931,9 @@ def _build_grid(spec: GridJob, env: "_Env") -> CampaignHandle:
         context=context,
         cache=cache,
         registry=registry,
-        supports_robustness=True,
-        supports_jobs=True,
         stale_hook=(
             (
-                lambda: _invalidate_stale_grid_steps(
+                lambda: _invalidate_stale_steps(
                     campaign, context, registry
                 )
             )
@@ -1000,9 +984,10 @@ def prepare(
 ) -> CampaignHandle:
     """Resolve a job spec into a runnable :class:`CampaignHandle`.
 
-    Validates names and option values eagerly (unknown scenarios,
-    grids or figures raise :class:`~repro.errors.NotFoundError`) but
-    executes nothing: the campaign directory is computed, not created.
+    Validates names and option values eagerly (unknown scenarios or
+    grids raise :class:`~repro.errors.NotFoundError`; field types and
+    choices were checked when the spec was built) but executes
+    nothing: the campaign directory is computed, not created.
     """
     builder = _BUILDERS.get(spec.kind)
     if builder is None:
@@ -1037,21 +1022,3 @@ def run_campaign(
         verbose=verbose,
     )
     return handle.run(options)
-
-
-def submit_grid(
-    spec: GridJob,
-    *,
-    cache_dir: str | None = None,
-    model_dir: str | None = None,
-    workers: int | None = None,
-    verbose: bool = False,
-) -> CampaignHandle:
-    """Prepare a grid campaign (convenience alias of :func:`prepare`)."""
-    return prepare(
-        spec,
-        cache_dir=cache_dir,
-        model_dir=model_dir,
-        workers=workers,
-        verbose=verbose,
-    )

@@ -1,39 +1,27 @@
-"""One declarative table for every shared ``repro`` option.
+"""The host-side options of the ``repro`` command line.
 
-The campaign subcommands used to re-declare ``--cache-dir``,
-``--workers``, ``--retries`` et al. per subparser, and the REST job
-validation of ``repro serve`` would have had to re-declare them a third
-time.  This module is the single source of truth: each
-:class:`OptionSpec` describes one option (flag, type, default, help) and
-is rendered into argparse parsers by :func:`add_option_group` and into
-REST job-option validation by :func:`validate_job_options` — so CLI
-flags and service job fields can never drift.
+Campaign kinds, their run options and their REST validation are
+declared by the job-spec dataclasses (:mod:`repro.api.jobs`,
+:class:`~repro.api.facade.RunOptions`).  What remains here are the
+options naming resources of the host a command runs on — the cache and
+model roots, the dataset-generation pool, the log level — shared by
+the campaign subcommands and by ``generate``, ``serve`` and ``cache``.
+:class:`HostOptions` declares them with the same
+:func:`~repro.api.jobs.arg` metadata, so one renderer turns every
+declaration into argparse flags.
 
-Option groups:
-
-``common``
-    ``--cache-dir/--workers/--verbose/--quiet`` — accepted by every
-    subcommand.
-``model``
-    ``--model-dir`` — commands that resolve model checkpoints.
-``robustness``
-    ``--retries/--step-timeout/--no-quarantine/--faults`` — the
-    self-healing knobs of the campaign commands.
-``trace``
-    ``--trace`` — the span-journal arm flag.
-``execution``
-    ``--fresh`` and ``--jobs`` — manifest replay control and DAG-level
-    parallelism (``--jobs`` only where the command supports it).
+``model_dir`` belongs to the ``model`` group: only commands that
+resolve model checkpoints take it.  A ``repro serve`` job submission
+may carry ``workers`` and ``verbose``; the daemon owns the rest (its
+cache/model roots are fixed at startup).
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 from dataclasses import dataclass
 
-from .. import faults
-from ..errors import ConfigurationError
+from ..api.jobs import Declared, arg
 
 
 def default_workers() -> int | None:
@@ -46,259 +34,28 @@ def default_workers() -> int | None:
 
 
 @dataclass(frozen=True)
-class OptionSpec:
-    """One shared option: argparse rendering + REST validation in one row."""
+class HostOptions(Declared):
+    """Host resources of one ``repro`` invocation."""
 
-    #: Destination attribute name (``args.<name>`` / job-option key).
-    name: str
-    #: Command-line flag (``--cache-dir``).
-    flag: str
-    #: Help text rendered into ``--help``.
-    help: str
-    #: Value type for non-flag options (argparse ``type=``).
-    type: type | None = None
-    #: Static default (``default_factory`` wins when set).
-    default: object = None
-    #: Callable producing the default at parser-build time.
-    default_factory: object = None
-    #: ``store_true`` for boolean flags, ``None`` for valued options.
-    action: str | None = None
-    #: Whether the serve layer accepts this option in a job submission.
-    service: bool = True
-
-    def resolve_default(self) -> object:
-        """The effective default value of this option."""
-        if self.default_factory is not None:
-            return self.default_factory()
-        return self.default
-
-
-def _faults_help() -> str:
-    return (
-        "arm a fault-injection plan for chaos testing: a built-in "
-        f"name ({', '.join(sorted(faults.BUILTIN_PLANS))}) or the path "
-        "of a plan JSON file (also: $REPRO_FAULT_PLAN)"
+    model_dir: str | None = arg(
+        None,
+        group="model",
+        help="model checkpoint registry root (default: "
+        "$REPRO_MODEL_DIR or ~/.cache/repro-vvd/models)",
     )
-
-
-#: The shared option table, keyed by group name.  ``service=False``
-#: options are host-side resources the daemon owns (its cache/model
-#: roots are fixed at startup) and are rejected in job submissions.
-OPTION_GROUPS: dict[str, tuple[OptionSpec, ...]] = {
-    "common": (
-        OptionSpec(
-            name="cache_dir",
-            flag="--cache-dir",
-            default=None,
-            service=False,
-            help="dataset cache root (default: $REPRO_CACHE_DIR or "
-            "~/.cache/repro-vvd/datasets)",
-        ),
-        OptionSpec(
-            name="workers",
-            flag="--workers",
-            type=int,
-            default_factory=default_workers,
-            help="process-pool size for dataset generation "
-            "(default: $REPRO_BENCH_WORKERS or serial)",
-        ),
-        OptionSpec(
-            name="verbose",
-            flag="--verbose",
-            action="store_true",
-            default=False,
-            help="print per-step/per-set progress",
-        ),
-        OptionSpec(
-            name="quiet",
-            flag="--quiet",
-            action="store_true",
-            default=False,
-            service=False,
-            help="suppress summaries and sentinels (log level WARNING); "
-            "corruption warnings and errors still print",
-        ),
-    ),
-    "model": (
-        OptionSpec(
-            name="model_dir",
-            flag="--model-dir",
-            default=None,
-            service=False,
-            help="model checkpoint registry root (default: "
-            "$REPRO_MODEL_DIR or ~/.cache/repro-vvd/models)",
-        ),
-    ),
-    "robustness": (
-        OptionSpec(
-            name="retries",
-            flag="--retries",
-            type=int,
-            default=3,
-            help="max attempts per step for transient failures "
-            "(1 = no retry; backoff is deterministic per step)",
-        ),
-        OptionSpec(
-            name="step_timeout",
-            flag="--step-timeout",
-            type=float,
-            default=None,
-            help="per-attempt wall-time budget of worker steps in "
-            "seconds; a hung worker is killed and the step requeued",
-        ),
-        OptionSpec(
-            name="no_quarantine",
-            flag="--no-quarantine",
-            action="store_true",
-            default=False,
-            help="abort on the first permanently failed step instead of "
-            "quarantining it and finishing independent DAG branches",
-        ),
-        OptionSpec(
-            name="faults",
-            flag="--faults",
-            default=None,
-            default_factory=None,
-            help="",  # rendered lazily; see _faults_help()
-        ),
-    ),
-    "trace": (
-        OptionSpec(
-            name="trace",
-            flag="--trace",
-            action="store_true",
-            default=False,
-            help="record a structured span journal under "
-            "<campaign dir>/trace (inspect with `repro trace summary`); "
-            "wall-clock side-channel only — payloads, cache keys and "
-            "manifests stay byte-identical",
-        ),
-    ),
-    "execution": (
-        OptionSpec(
-            name="fresh",
-            flag="--fresh",
-            action="store_true",
-            default=False,
-            help="ignore the campaign manifest and re-run every step",
-        ),
-        OptionSpec(
-            name="jobs",
-            flag="--jobs",
-            type=int,
-            default=1,
-            help="worker processes scheduling independent steps "
-            "concurrently (1 = serial; results are byte-identical "
-            "either way)",
-        ),
-    ),
-}
-
-
-def iter_options(*groups: str) -> list[OptionSpec]:
-    """The specs of the named groups, in declared order."""
-    specs: list[OptionSpec] = []
-    for group in groups:
-        if group not in OPTION_GROUPS:
-            raise ConfigurationError(
-                f"unknown option group {group!r}; expected one of "
-                f"{sorted(OPTION_GROUPS)}"
-            )
-        specs.extend(OPTION_GROUPS[group])
-    return specs
-
-
-def add_option_group(
-    parser: argparse.ArgumentParser,
-    group: str,
-    *,
-    only: tuple[str, ...] | None = None,
-    help_overrides: dict[str, str] | None = None,
-) -> None:
-    """Render one option group into an argparse parser.
-
-    ``only`` restricts to a subset of the group's option names (used by
-    commands that take ``--fresh`` but not ``--jobs``);
-    ``help_overrides`` swaps the help text per option name — help may
-    vary per command, types and defaults may not.
-    """
-    overrides = dict(help_overrides or {})
-    for spec in iter_options(group):
-        if only is not None and spec.name not in only:
-            continue
-        text = overrides.get(spec.name, spec.help)
-        if spec.name == "faults" and spec.name not in overrides:
-            text = _faults_help()
-        if spec.action is not None:
-            parser.add_argument(spec.flag, action=spec.action, help=text)
-        else:
-            parser.add_argument(
-                spec.flag,
-                type=spec.type,
-                default=spec.resolve_default(),
-                help=text,
-            )
-
-
-#: Job-option names a service submission may carry, mapped to specs.
-SERVICE_OPTIONS: dict[str, OptionSpec] = {
-    spec.name: spec
-    for group in ("common", "robustness", "trace", "execution")
-    for spec in OPTION_GROUPS[group]
-    if spec.service
-}
-
-
-def validate_job_options(payload: dict | None) -> dict:
-    """Validate the ``options`` object of a REST job submission.
-
-    Returns a complete option dict (defaults filled from the same table
-    the CLI parsers use).  Unknown keys, host-side options and
-    mistyped values raise :class:`ConfigurationError` — the daemon maps
-    that to HTTP 400.
-    """
-    payload = dict(payload or {})
-    unknown = sorted(set(payload) - set(SERVICE_OPTIONS))
-    if unknown:
-        raise ConfigurationError(
-            f"unknown job option(s) {', '.join(unknown)}; accepted: "
-            f"{', '.join(sorted(SERVICE_OPTIONS))}"
-        )
-    resolved: dict[str, object] = {}
-    for name, spec in SERVICE_OPTIONS.items():
-        if name not in payload:
-            resolved[name] = spec.resolve_default()
-            continue
-        value = payload[name]
-        if spec.action == "store_true":
-            if not isinstance(value, bool):
-                raise ConfigurationError(
-                    f"job option {name!r} expects a boolean, got "
-                    f"{type(value).__name__}"
-                )
-            resolved[name] = value
-        elif value is None:
-            resolved[name] = None
-        elif spec.type is not None:
-            if isinstance(value, bool) or not isinstance(
-                value, (int, float, str)
-            ):
-                raise ConfigurationError(
-                    f"job option {name!r} expects "
-                    f"{spec.type.__name__}, got {type(value).__name__}"
-                )
-            try:
-                resolved[name] = spec.type(value)
-            except (TypeError, ValueError):
-                raise ConfigurationError(
-                    f"job option {name!r} expects "
-                    f"{spec.type.__name__}, got {value!r}"
-                ) from None
-        else:
-            if not isinstance(value, str):
-                raise ConfigurationError(
-                    f"job option {name!r} expects a string, got "
-                    f"{type(value).__name__}"
-                )
-            resolved[name] = value
-    return resolved
+    cache_dir: str | None = arg(
+        None,
+        help="dataset cache root (default: $REPRO_CACHE_DIR or "
+        "~/.cache/repro-vvd/datasets)",
+    )
+    workers: int | None = arg(
+        default_factory=default_workers,
+        help="process-pool size for dataset generation "
+        "(default: $REPRO_BENCH_WORKERS or serial)",
+    )
+    verbose: bool = arg(False, help="print per-step/per-set progress")
+    quiet: bool = arg(
+        False,
+        help="suppress summaries and sentinels (log level WARNING); "
+        "corruption warnings and errors still print",
+    )

@@ -32,13 +32,14 @@ import os
 import signal
 import threading
 import time
+from dataclasses import fields
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..api import errors as api_errors
 from ..api.facade import RunOptions, prepare
-from ..api.jobs import job_from_dict
+from ..api.jobs import job_from_dict, reject_unknown
 from ..campaign.cache import DatasetCache
-from ..campaign.options import validate_job_options
+from ..campaign.options import HostOptions
 from ..errors import (
     ConfigurationError,
     NotFoundError,
@@ -57,6 +58,33 @@ from .queue import (
 
 #: How long an idle worker sleeps between queue polls, seconds.
 _POLL_INTERVAL_S = 0.1
+
+#: Host options a job submission may carry; the daemon owns the rest
+#: (its cache/model roots are fixed at startup, its log level too).
+JOB_HOST_OPTIONS = frozenset({"workers", "verbose"})
+
+
+def validate_job_options(payload: dict | None) -> dict:
+    """Validate the ``options`` object of a REST job submission.
+
+    Returns a complete option dict: every :class:`RunOptions` field
+    plus :data:`JOB_HOST_OPTIONS`, defaults filled from the same
+    declarations the CLI parsers render, values normalized by the one
+    coercion rule of :func:`repro.api.jobs.coerce_value`.  Unknown
+    keys, host-side options and mistyped values raise
+    :class:`ConfigurationError` — the daemon maps that to HTTP 400.
+    """
+    payload = dict(payload or {})
+    accepted = {f.name for f in fields(RunOptions)} | JOB_HOST_OPTIONS
+    reject_unknown(payload, accepted, "job option")
+    host = HostOptions(
+        **{name: payload.pop(name) for name in JOB_HOST_OPTIONS & set(payload)}
+    )
+    run = RunOptions(**payload)
+    return {
+        name: getattr(host if name in JOB_HOST_OPTIONS else run, name)
+        for name in accepted
+    }
 
 
 class ReproDaemon:
@@ -149,10 +177,11 @@ class ReproDaemon:
     def submit(self, payload: dict) -> tuple[dict, bool]:
         """Validate and enqueue one job submission.
 
-        The spec is resolved through :func:`repro.api.prepare` before
-        anything is persisted, so bad scenario/grid/figure names are
-        rejected with 404 and malformed options with 400 — using
-        exactly the validation the CLI parser applies.  The prepared
+        The spec is built and resolved through :func:`repro.api.prepare`
+        before anything is persisted: mistyped fields, values outside
+        their ``choices`` and malformed options are rejected with 400,
+        unknown scenario/grid names with 404 — the spec declarations
+        the CLI parser is rendered from drive both.  The prepared
         handle's directory basename becomes the job id, which is what
         makes concurrent identical submissions collapse to one run.
         """
@@ -233,7 +262,10 @@ class ReproDaemon:
                 workers=self._job_workers(options),
                 verbose=self._job_verbose(options),
             )
-            outcome = handle.run(RunOptions.from_mapping(options))
+            run = {
+                k: v for k, v in options.items() if k not in JOB_HOST_OPTIONS
+            }
+            outcome = handle.run(RunOptions(**run))
         except Exception as exc:
             code = api_errors.classify_exception(exc)
             self.queue.mark(

@@ -1,39 +1,27 @@
-"""The shared option table: parser rendering and REST validation.
+"""Rendered run/host options and REST job-option validation.
 
-The same :class:`~repro.campaign.options.OptionSpec` rows drive every
-subcommand's argparse flags and the daemon's job-option validation, so
-these tests are drift detectors: if a subcommand stops rendering the
-table, or the service accepts an option the CLI doesn't (or vice
-versa), something here fails.
+Campaign subparsers render :class:`~repro.api.facade.RunOptions` and
+:class:`~repro.campaign.options.HostOptions` from their declarations,
+filtered by the option groups each kind takes; the daemon validates a
+submission's ``options`` against the same declarations.  These tests
+pin the rendered defaults and the service-side rules.
 """
 
 from __future__ import annotations
 
 import argparse
+from dataclasses import fields
 
 import pytest
 
+from repro.api.facade import RunOptions
+from repro.api.jobs import JOB_KINDS, field_default
 from repro.campaign.cli import build_parser
-from repro.campaign.options import (
-    OPTION_GROUPS,
-    SERVICE_OPTIONS,
-    add_option_group,
-    default_workers,
-    iter_options,
-    validate_job_options,
-)
+from repro.campaign.options import HostOptions, default_workers
 from repro.errors import ConfigurationError
+from repro.serve.daemon import JOB_HOST_OPTIONS, validate_job_options
 
-#: Option groups each campaign subcommand must render (the contract
-#: between the CLI surface and the service job options).
-EXPECTED_GROUPS = {
-    "sweep": ["common", "robustness", "trace"],
-    "train": ["common", "model", "robustness", "trace"],
-    "figure": ["common", "model", "trace"],
-    "stream": ["common", "model", "robustness", "trace", "execution"],
-    "capacity": ["common", "robustness", "trace", "execution"],
-    "grid": ["common", "model", "robustness", "trace", "execution"],
-}
+OPTION_CLASSES = (RunOptions, HostOptions)
 
 
 def _parse_defaults(command: str) -> argparse.Namespace:
@@ -42,22 +30,22 @@ def _parse_defaults(command: str) -> argparse.Namespace:
 
 
 class TestParserRendersTable:
-    @pytest.mark.parametrize("command", sorted(EXPECTED_GROUPS))
+    @pytest.mark.parametrize("command", sorted(JOB_KINDS))
     def test_subcommand_defaults_match_table(self, command, monkeypatch):
         monkeypatch.delenv("REPRO_BENCH_WORKERS", raising=False)
         args = _parse_defaults(command)
-        for group in EXPECTED_GROUPS[command]:
-            for spec in OPTION_GROUPS[group]:
-                if not hasattr(args, spec.name):
-                    # `only=`-restricted rendering (e.g. sweep takes
-                    # --fresh but not --jobs) is covered separately.
-                    continue
-                assert getattr(args, spec.name) == spec.resolve_default(), (
-                    f"{command} --{spec.flag} default drifted from the "
-                    "option table"
-                )
+        groups = JOB_KINDS[command].option_groups
+        for cls in OPTION_CLASSES:
+            for f in fields(cls):
+                group = f.metadata["group"]
+                # Exactly the options of the groups the kind takes.
+                assert hasattr(args, f.name) == (
+                    group is None or group in groups
+                ), f"{command} --{f.name}"
+                if hasattr(args, f.name):
+                    assert getattr(args, f.name) == field_default(f)
 
-    @pytest.mark.parametrize("command", sorted(EXPECTED_GROUPS))
+    @pytest.mark.parametrize("command", sorted(JOB_KINDS))
     def test_subcommand_accepts_common_flags(self, command):
         argv = {"figure": [command, "table2"]}.get(command, [command])
         args = build_parser().parse_args(
@@ -85,33 +73,20 @@ class TestParserRendersTable:
         monkeypatch.setenv("REPRO_BENCH_WORKERS", "junk")
         assert default_workers() is None
 
-    def test_iter_options_rejects_unknown_group(self):
-        with pytest.raises(ConfigurationError, match="unknown option group"):
-            iter_options("nope")
-
-    def test_add_option_group_help_override(self):
-        parser = argparse.ArgumentParser()
-        add_option_group(
-            parser, "execution", help_overrides={"jobs": "custom help"}
-        )
-        actions = {a.dest: a for a in parser._actions}
-        assert actions["jobs"].help == "custom help"
-
 
 class TestServiceOptions:
     def test_host_side_options_are_excluded(self):
         # The daemon owns its cache/model roots and stdout: these are
         # never accepted inside a job submission.
         for name in ("cache_dir", "quiet", "model_dir"):
-            assert name not in SERVICE_OPTIONS
+            assert name not in JOB_HOST_OPTIONS
+            assert name not in validate_job_options(None)
 
     def test_service_names_are_a_subset_of_the_table(self):
-        table_names = {
-            spec.name
-            for group in OPTION_GROUPS.values()
-            for spec in group
-        }
-        assert set(SERVICE_OPTIONS) <= table_names
+        # Every job option is a flag of the kind taking every group.
+        assert set(validate_job_options(None)) <= set(
+            vars(_parse_defaults("grid"))
+        )
 
     def test_defaults_fill_missing_options(self, monkeypatch):
         monkeypatch.delenv("REPRO_BENCH_WORKERS", raising=False)
@@ -147,6 +122,9 @@ class TestServiceOptions:
         assert resolved["jobs"] == 2
         assert resolved["step_timeout"] == 1.5
         assert resolved["faults"] == "flaky-io"
+        resolved = validate_job_options({"step_timeout": 2, "workers": 2})
+        assert isinstance(resolved["step_timeout"], float)
+        assert resolved["workers"] == 2
 
     def test_string_option_rejects_non_string(self):
         with pytest.raises(ConfigurationError, match="expects a string"):

@@ -105,6 +105,20 @@ class TestErrorStatuses:
         response = client.submit(CAPACITY, options={"cache_dir": "/x"})
         assert response.status == 400
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"kind": "grid", "suite": "nope"},
+            {"kind": "grid", "vvd": "false"},
+        ],
+        ids=["choice", "string-for-bool"],
+    )
+    def test_invalid_spec_value_is_400_and_not_queued(self, client, body):
+        response = client.submit(body)
+        assert response.status == 400
+        assert response.json()["code"] == "invalid"
+        assert client.jobs().json()["jobs"] == []
+
     def test_unknown_scenario_is_404(self, client):
         response = client.submit({"kind": "sweep", "scenario": "atlantis"})
         assert response.status == 404
