@@ -25,13 +25,12 @@ Every spec round-trips through JSON (:meth:`to_dict` /
 
 from __future__ import annotations
 
-import functools
 import json
-import typing
 from collections.abc import Mapping
 from dataclasses import MISSING, Field, asdict, dataclass, field, fields
 from typing import ClassVar
 
+from ..campaign.params import field_type
 from ..campaign.runner import FIGURE_NAMES
 from ..errors import ConfigurationError
 from ..experiments.suite import SUITE_BUILDERS
@@ -94,25 +93,6 @@ def field_choices(f: Field):
     if isinstance(choices, Mapping):
         return sorted(choices)
     return choices
-
-
-@functools.cache
-def _type_hints(cls) -> dict:
-    return typing.get_type_hints(cls)
-
-
-@functools.cache
-def field_type(cls, f: Field) -> tuple[type, bool, bool]:
-    """``(value type, is a list, accepts None)`` of one declared field."""
-    hint = _type_hints(cls)[f.name]
-    optional = False
-    members = typing.get_args(hint)
-    if type(None) in members:
-        optional = True
-        (hint,) = (m for m in members if m is not type(None))
-    if typing.get_origin(hint) is tuple:
-        return typing.get_args(hint)[0], True, optional
-    return hint, False, optional
 
 
 def _coerce_scalar(kind: type, value):

@@ -3,15 +3,15 @@
 The subsystem that turns the reproduction into an orchestrated,
 restartable system (see docs/ARCHITECTURE.md):
 
-- :mod:`repro.campaign.scenario` — declarative :class:`Scenario`
-  dataclasses and a registry of named presets (the paper's
-  configurations plus multi-human crossings, varied walking speeds,
-  dense-office and corridor geometries, grouped walkers).
+- :mod:`repro.campaign.scenario` — the declarative :class:`Scenario`
+  dataclass, whose field declarations are the scenario schema, and a
+  registry of named presets (the paper's configurations plus
+  multi-human crossings, varied walking speeds, dense-office and
+  corridor geometries, grouped walkers).
 - :mod:`repro.campaign.params` — the validated scenario language:
-  declared :class:`Parameter`/:class:`Condition` schemas, aggregated
-  :class:`ValidationReport` errors, delta-copy :class:`ScenarioSpec`
-  variants, TOML/JSON scenario files and seeded sampling of the
-  scenario space.
+  :class:`Parameter`/:class:`Condition` schemas derived from field
+  declarations, aggregated :class:`ValidationReport` errors, TOML/JSON
+  scenario files and seeded sampling of the scenario space.
 - :mod:`repro.campaign.cache` — a content-addressed on-disk cache of
   generated measurement sets, keyed by a stable hash of the resolved
   configuration plus a code-version salt.
@@ -55,13 +55,10 @@ from .locking import FileLock, sweep_stale_tmp
 from .params import (
     Condition,
     Parameter,
-    ScenarioSpec,
     ValidationReport,
     describe_parameters,
     load_scenario_file,
-    sample_scenario_specs,
     sample_scenarios,
-    spec_from_scenario,
     validate_scenario_values,
 )
 from .manifest import STATUS_QUARANTINED, CampaignManifest
@@ -137,12 +134,9 @@ __all__ = [
     "register_scenario",
     "Condition",
     "Parameter",
-    "ScenarioSpec",
     "ValidationReport",
     "describe_parameters",
     "load_scenario_file",
-    "sample_scenario_specs",
     "sample_scenarios",
-    "spec_from_scenario",
     "validate_scenario_values",
 ]

@@ -236,15 +236,15 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     from .params import (
         describe_parameters,
         load_scenario_file,
-        sample_scenario_specs,
-        spec_from_scenario,
+        sample_scenarios,
+        validate_scenario_values,
     )
 
     if args.action == "describe":
         if args.scenario is not None:
             scenario = get_scenario(args.scenario)
-            report = spec_from_scenario(scenario).validate()
-            log.info(spec_from_scenario(scenario).canonical_json())
+            report = validate_scenario_values(vars(scenario))
+            log.info(scenario.canonical_json())
             log.info(report.summary())
             for line in report.warnings:
                 log.warning(f"warning: {line}")
@@ -265,17 +265,17 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         log.info(f"{len(loaded)} scenario(s) loaded from {args.file}")
         return 0
     if args.action == "sample":
-        specs = sample_scenario_specs(
+        scenarios = sample_scenarios(
             args.seed, args.count, scale=args.scale
         )
-        for spec in specs:
-            log.info(spec.canonical_json())
+        for scenario in scenarios:
+            log.info(scenario.canonical_json())
         if args.register:
             from .scenario import register_scenario
 
-            for spec in specs:
-                register_scenario(spec.to_scenario(), replace=True)
-            log.info(f"{len(specs)} sampled scenario(s) registered")
+            for scenario in scenarios:
+                register_scenario(scenario, replace=True)
+            log.info(f"{len(scenarios)} sampled scenario(s) registered")
         return 0
     raise ReproError(f"unknown scenarios action {args.action!r}")
 

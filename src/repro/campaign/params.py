@@ -1,30 +1,33 @@
-"""Validated scenario language: parameters, conditions, specs, sampling.
+"""Validated scenario language: parameters, conditions, files, sampling.
 
 The scenario registry used to be plain dataclasses whose invalid
 combinations (a speed range outside the mobility model's bounds, an SNR
 grid outside the trained range, grouped walkers without a group) failed
 first-error-only, sometimes only deep inside the dataset generator.
 This module adopts the cinnamon ``Parameter``/``Configuration`` idiom
-(see SNIPPETS.md): every scenario hyper-parameter is wrapped in a
+(see SNIPPETS.md): every scenario hyper-parameter is a
 :class:`Parameter` carrying its type hint, allowed range/choices,
-description and tags; a :class:`ScenarioSpec` bundles the parameters
-with declared cross-parameter :class:`Condition` objects and validates
-at construction with a *full* :class:`ValidationReport` — every
-violation listed, not just the first.
+description and tags, and :func:`validate_values` checks a mapping
+against parameters plus declared cross-parameter :class:`Condition`
+objects with a *full* :class:`ValidationReport` — every violation
+listed, not just the first.
 
-On top of the declarative schema the module provides:
+The :class:`~repro.campaign.scenario.Scenario` dataclass is the one
+declaration of the scenario schema: each field is declared with
+:func:`param`, which attaches what the annotation cannot say
+(description, bounds, choices, variable length, label, extra predicate,
+tags).  :func:`parameters_of` derives the :class:`Parameter` schema
+from those fields — name, type, element type, optional flag and
+default come from the field and its annotation, read by
+:func:`field_type` (the same reader the job specs of
+:mod:`repro.api.jobs` use).  On top of the schema the module provides:
 
-- :func:`spec_from_scenario` / :meth:`ScenarioSpec.to_scenario` — the
-  bridge to the registry's :class:`~repro.campaign.scenario.Scenario`
-  dataclass (which delegates its ``__post_init__`` validation here).
-- delta-copy variants (:meth:`ScenarioSpec.delta`), replacing the
-  ad-hoc ``dataclasses.replace`` chains grid expansion used to build.
 - TOML/JSON scenario loading (:func:`load_scenario_file`,
   ``repro scenarios load file.toml``), including custom room-geometry
   tables validated through :data:`ROOM_PARAMETERS`.
-- seeded scenario sampling (:func:`sample_scenario_specs`,
-  ``repro scenarios sample --seed N --count K``): uniformly valid specs
-  drawn from the declared ranges — the generator behind the
+- seeded scenario sampling (:func:`sample_scenarios`,
+  ``repro scenarios sample --seed N --count K``): uniformly valid
+  scenarios drawn from the declared ranges — the generator behind the
   property-based fuzz suite and future capacity grids.  Sampling uses
   :class:`random.Random` so the draw sequence is process- and
   platform-stable for a given seed.
@@ -32,13 +35,15 @@ On top of the declarative schema the module provides:
 
 from __future__ import annotations
 
+import functools
 import json
 import random
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, Field, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Mapping
 
-from ..config import SPEED_PROFILES, TRAJECTORY_PRESETS
+from ..config import SPEED_PROFILES, TRAJECTORY_PRESETS, RoomConfig
 from ..errors import ConfigurationError
 
 #: Walking-speed bounds of the mobility model in m/s; scenario speed
@@ -66,7 +71,24 @@ SEED_BOUNDS = (0, 2**32 - 1)
 #: grids sweep into the thousands.
 STREAM_LINKS_BOUNDS = (1, 10_000)
 
-_MISSING = object()
+
+@functools.cache
+def _type_hints(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+@functools.cache
+def field_type(cls, f: Field) -> tuple[type, bool, bool]:
+    """``(value type, is a list, accepts None)`` of one declared field."""
+    hint = _type_hints(cls)[f.name]
+    optional = False
+    members = typing.get_args(hint)
+    if type(None) in members:
+        optional = True
+        (hint,) = (m for m in members if m is not type(None))
+    if typing.get_origin(hint) is tuple:
+        return typing.get_args(hint)[0], True, optional
+    return hint, False, optional
 
 
 def _type_name(type_hint: type | tuple[type, ...]) -> str:
@@ -92,23 +114,26 @@ class Parameter:
 
     Wraps the value schema — type hint, allowed numeric ``bounds``
     (inclusive, applied elementwise to tuple values), discrete
-    ``choices`` (a tuple or a zero-arg callable for registries that
-    grow at runtime, like room presets), tuple ``length`` limits and an
-    optional free-form ``allowed`` predicate — plus the description and
-    tags the catalog renders.  :meth:`violations` returns *every*
-    problem with a candidate value, never just the first.
+    ``choices`` (a tuple, or a registry mapping whose keys are read
+    when used so late registrations like TOML rooms count), tuple
+    ``length`` limits and an optional free-form ``allowed`` predicate —
+    plus the description and tags the catalog renders.
+    :meth:`violations` returns *every* problem with a candidate value,
+    never just the first.
     """
 
-    #: Unique identifier; matches the ``Scenario`` field it feeds.
+    #: Unique identifier; matches the dataclass field it feeds.
     name: str
     #: Python type(s) a value must have.
     type_hint: type | tuple[type, ...]
     #: One-line human description (rendered by ``scenarios describe``).
     description: str
-    #: Default used when a spec omits the parameter.
-    default: object = _MISSING
-    #: Discrete allowed values, or a callable returning them.
-    choices: tuple | Callable[[], tuple] | None = None
+    #: Default used when a mapping omits the parameter; ``MISSING``
+    #: (a factory, since a dataclass reads a bare ``MISSING`` default
+    #: as "none") marks it required.
+    default: object = field(default_factory=lambda: MISSING)
+    #: Discrete allowed values, or a registry mapping of them.
+    choices: tuple | Mapping | None = None
     #: Inclusive numeric range; elementwise for tuple values.
     bounds: tuple[float, float] | None = None
     #: ``(min, max)`` entry-count limits for tuple values.
@@ -126,14 +151,8 @@ class Parameter:
 
     @property
     def required(self) -> bool:
-        """Whether a spec must provide this parameter explicitly."""
-        return self.default is _MISSING
-
-    def resolved_choices(self) -> tuple | None:
-        """The discrete allowed values, resolving callable registries."""
-        if callable(self.choices):
-            return tuple(self.choices())
-        return self.choices
+        """Whether a mapping must provide this parameter explicitly."""
+        return self.default is MISSING
 
     def violations(self, value: object) -> list[str]:
         """Every problem with ``value``, as ``name: ...`` report lines."""
@@ -148,11 +167,10 @@ class Parameter:
                 f"got {type(value).__name__} ({value!r})"
             ]
         problems: list[str] = []
-        choices = self.resolved_choices()
-        if choices is not None and value not in choices:
+        if self.choices is not None and value not in self.choices:
             problems.append(
                 f"{self.name}: unknown {noun} {value!r}; expected one "
-                f"of {sorted(choices)}"
+                f"of {sorted(self.choices)}"
             )
         elements = (
             list(value) if isinstance(value, tuple) else [value]
@@ -269,215 +287,54 @@ class ValidationReport:
         return f"{self.subject}: " + ", ".join(parts)
 
 
-def _room_choices() -> tuple:
-    """Registered room-preset names (resolved late: TOML can add rooms)."""
-    from .scenario import ROOM_PRESETS
+def param(
+    default=MISSING,
+    *,
+    description: str,
+    bounds: tuple[float, float] | None = None,
+    choices: tuple | Mapping | None = None,
+    length: tuple[int, int] | None = None,
+    label: str | None = None,
+    allowed: Callable[[object], str | None] | None = None,
+    tags: tuple[str, ...] = (),
+) -> Field:
+    """A dataclass field carrying its scenario-schema metadata.
 
-    return tuple(ROOM_PRESETS)
-
-
-def _base_choices() -> tuple:
-    """Registered base-preset names."""
-    from .scenario import _BASE_PRESETS
-
-    return tuple(_BASE_PRESETS)
-
-
-def _qos_choices() -> tuple:
-    """Registered QoS class-mix names."""
-    from ..stream.traffic import QOS_MIXES
-
-    return tuple(sorted(QOS_MIXES))
-
-
-def _traffic_violation(value: object) -> str | None:
-    """Validate an arrival-process spec string (``mixed`` allowed)."""
-    from ..stream.traffic import validate_traffic
-
-    try:
-        validate_traffic(str(value))
-    except ConfigurationError as exc:
-        return str(exc)
-    return None
-
-
-#: The declared scenario schema, in definition order.  Mirrors the
-#: fields of :class:`~repro.campaign.scenario.Scenario`; that dataclass
-#: delegates its construction-time validation here.
-SCENARIO_PARAMETERS: tuple[Parameter, ...] = (
-    Parameter(
-        name="name",
-        type_hint=str,
-        description="Registry name (kebab-case by convention)",
-        allowed=lambda v: "must not be empty" if not v else None,
-        tags=("identity",),
-    ),
-    Parameter(
-        name="description",
-        type_hint=str,
-        description="One-line summary printed by `repro list-scenarios`",
-        tags=("identity",),
-    ),
-    Parameter(
-        name="base",
-        type_hint=str,
-        description="Base dimension preset the scenario derives from",
-        default="reduced",
-        choices=_base_choices,
-        label="base preset",
-        tags=("dimensions",),
-    ),
-    Parameter(
-        name="room",
-        type_hint=str,
-        description="Room-geometry preset key (see ROOM_PRESETS)",
-        default="paper-lab",
-        choices=_room_choices,
-        label="room preset",
-        tags=("environment",),
-    ),
-    Parameter(
-        name="trajectory",
-        type_hint=str,
-        description="Human-trajectory preset walked by every set",
-        default="random-waypoint",
-        choices=TRAJECTORY_PRESETS,
-        label="trajectory preset",
-        tags=("mobility",),
-    ),
-    Parameter(
-        name="num_humans",
-        type_hint=int,
-        description="Simultaneous humans walking the movement area",
-        default=1,
-        bounds=NUM_HUMANS_BOUNDS,
-        tags=("mobility",),
-    ),
-    Parameter(
-        name="speed_range_mps",
-        type_hint=tuple,
-        description="Walking-speed override (min, max) in m/s",
-        default=None,
-        optional=True,
-        length=(2, 2),
-        element_type=float,
-        bounds=MOBILITY_SPEED_BOUNDS_MPS,
-        label="walking speed",
-        tags=("mobility",),
-    ),
-    Parameter(
-        name="speed_profile",
-        type_hint=str,
-        description=(
-            "Per-walker speed assignment: every walker draws from the "
-            "full range ('uniform') or from its own disjoint band "
-            "('heterogeneous')"
-        ),
-        default="uniform",
-        choices=SPEED_PROFILES,
-        label="speed profile",
-        tags=("mobility",),
-    ),
-    Parameter(
-        name="snr_db",
-        type_hint=float,
-        description="Operating-point SNR override in dB",
-        default=None,
-        optional=True,
-        bounds=SNR_BOUNDS_DB,
-        label="SNR",
-        tags=("channel",),
-    ),
-    Parameter(
-        name="snr_grid_db",
-        type_hint=tuple,
-        description="SNR grid in dB evaluated by `repro sweep`",
-        default=(3.0, 6.0, 9.5, 12.0),
-        length=(1, 16),
-        element_type=float,
-        bounds=SNR_BOUNDS_DB,
-        label="SNR",
-        tags=("channel",),
-    ),
-    Parameter(
-        name="num_sets",
-        type_hint=int,
-        description="Measurement-set count override",
-        default=None,
-        optional=True,
-        bounds=NUM_SETS_BOUNDS,
-        tags=("dimensions",),
-    ),
-    Parameter(
-        name="packets_per_set",
-        type_hint=int,
-        description="Packets-per-set override",
-        default=None,
-        optional=True,
-        bounds=PACKETS_PER_SET_BOUNDS,
-        tags=("dimensions",),
-    ),
-    Parameter(
-        name="seed",
-        type_hint=int,
-        description="Campaign seed override",
-        default=None,
-        optional=True,
-        bounds=SEED_BOUNDS,
-        tags=("dimensions",),
-    ),
-    Parameter(
-        name="stream_links",
-        type_hint=int,
-        description="Concurrent links `repro stream` replays by default",
-        default=4,
-        bounds=STREAM_LINKS_BOUNDS,
-        tags=("stream",),
-    ),
-    Parameter(
-        name="traffic",
-        type_hint=str,
-        description=(
-            "Arrival-process model for capacity runs: periodic[:R], "
-            "poisson:R, onoff:R:ON:OFF, diurnal:R:P[:D], or 'mixed'"
-        ),
-        default="periodic",
-        label="traffic spec",
-        allowed=_traffic_violation,
-        tags=("stream", "traffic"),
-    ),
-    Parameter(
-        name="qos",
-        type_hint=str,
-        description="QoS class mix capacity runs schedule against",
-        default="uniform",
-        choices=_qos_choices,
-        label="QoS mix",
-        tags=("stream", "traffic"),
-    ),
-    Parameter(
-        name="tags",
-        type_hint=tuple,
-        description="Free-form labels shown by `repro list-scenarios`",
-        default=(),
-        length=(0, 16),
-        element_type=str,
-        tags=("identity",),
-    ),
-)
-
-_PARAMETER_INDEX = {p.name: p for p in SCENARIO_PARAMETERS}
+    Takes only what the annotation cannot say — the field's name, type,
+    element type, optional flag and default are read from the dataclass
+    itself by :func:`parameters_of`.  ``length`` bounds the entry count
+    of tuple fields.
+    """
+    return field(
+        default=default,
+        metadata={
+            "description": description,
+            "bounds": bounds,
+            "choices": choices,
+            "length": length,
+            "label": label,
+            "allowed": allowed,
+            "tags": tags,
+        },
+    )
 
 
-def get_parameter(name: str) -> Parameter:
-    """The declared scenario :class:`Parameter` called ``name``."""
-    parameter = _PARAMETER_INDEX.get(name)
-    if parameter is None:
-        raise ConfigurationError(
-            f"unknown scenario parameter {name!r}; known parameters: "
-            f"{', '.join(p.name for p in SCENARIO_PARAMETERS)}"
+def parameters_of(cls) -> tuple[Parameter, ...]:
+    """The :class:`Parameter` schema of a :func:`param`-declared dataclass."""
+    schema = []
+    for f in fields(cls):
+        kind, many, optional = field_type(cls, f)
+        schema.append(
+            Parameter(
+                name=f.name,
+                type_hint=tuple if many else kind,
+                element_type=kind if many else None,
+                optional=optional,
+                default=f.default,
+                **f.metadata,
+            )
         )
-    return parameter
+    return tuple(schema)
 
 
 def _speed_range_ordered(values: Mapping[str, object]) -> bool:
@@ -553,170 +410,117 @@ SCENARIO_CONDITIONS: tuple[Condition, ...] = (
 )
 
 
-def _normalize(value: object) -> object:
+def normalize(value: object) -> object:
     """Lists (e.g. from TOML/JSON) become tuples, recursively."""
-    if isinstance(value, list):
-        return tuple(_normalize(item) for item in value)
-    if isinstance(value, tuple):
-        return tuple(_normalize(item) for item in value)
+    if isinstance(value, (list, tuple)):
+        return tuple(normalize(item) for item in value)
     return value
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """A validated-data scenario: declared parameter values + schema.
+def validate_values(
+    values: Mapping[str, object],
+    parameters: tuple[Parameter, ...],
+    conditions: tuple[Condition, ...],
+    subject: str,
+    unknown: str,
+) -> tuple[dict[str, object], ValidationReport]:
+    """Check every parameter, then every condition, aggregating all.
 
-    The configuration object of the scenario language.  ``values``
-    holds only the explicitly-set parameters; :meth:`effective` merges
-    the schema defaults in.  Specs are plain data — they load from
-    TOML/JSON (:func:`load_scenario_file`), delta-copy into variants
-    (:meth:`delta`), sample from the declared ranges
-    (:func:`sample_scenario_specs`) and materialize as registry
-    :class:`~repro.campaign.scenario.Scenario` objects
-    (:meth:`to_scenario`) with byte-identical resolution semantics.
+    ``values`` is normalized and overlaid on the parameters' defaults;
+    returns that merged mapping with the report.  Keys no parameter
+    declares are errors (``unknown`` is their message).  Parameter
+    checks run in declared order; conditions run in declared order
+    afterwards and are skipped when any parameter they ``require``
+    already failed (or was unknown), so one root cause yields one
+    violation.
     """
-
-    #: Explicitly-set ``parameter -> value`` pairs (normalized tuples).
-    values: tuple[tuple[str, object], ...] = ()
-
-    @classmethod
-    def from_mapping(cls, values: Mapping[str, object]) -> "ScenarioSpec":
-        """Build a spec from a dict (TOML table, JSON object, kwargs)."""
-        return cls(
-            values=tuple(
-                (name, _normalize(value))
-                for name, value in values.items()
-            )
-        )
-
-    def effective(self) -> dict[str, object]:
-        """Declared defaults overlaid with the explicitly-set values."""
-        merged: dict[str, object] = {
-            p.name: p.default
-            for p in SCENARIO_PARAMETERS
-            if p.default is not _MISSING
-        }
-        merged.update(dict(self.values))
-        return merged
-
-    @property
-    def subject(self) -> str:
-        """Message noun of this spec (uses the name when present)."""
-        name = dict(self.values).get("name")
-        return f"scenario {name!r}" if name else "scenario spec"
-
-    def validate(self) -> ValidationReport:
-        """Check every parameter, then every condition, aggregating all.
-
-        Parameter checks run in schema order; conditions run in
-        declared order afterwards and are skipped when any parameter
-        they ``require`` already failed (or was unknown), so one root
-        cause yields one violation.  Unknown keys are errors.
-        """
-        explicit = dict(self.values)
-        merged = self.effective()
-        errors: list[str] = []
-        warnings: list[str] = []
-        failed: set[str] = set()
-        for key in explicit:
-            if key not in _PARAMETER_INDEX:
-                errors.append(
-                    f"{key}: unknown parameter; known parameters: "
-                    f"{', '.join(p.name for p in SCENARIO_PARAMETERS)}"
-                )
-                failed.add(key)
-        for parameter in SCENARIO_PARAMETERS:
-            if parameter.required and parameter.name not in explicit:
-                errors.append(
-                    f"{parameter.name}: value is required"
-                )
-                failed.add(parameter.name)
-                continue
-            problems = parameter.violations(merged[parameter.name])
-            if problems:
-                errors.extend(problems)
-                failed.add(parameter.name)
-        for condition in SCENARIO_CONDITIONS:
-            if any(name in failed for name in condition.requires):
-                continue
-            if condition.check(merged):
-                continue
-            line = condition.message(merged)
-            if condition.severity == "warning":
-                warnings.append(line)
-            else:
-                errors.append(line)
-        return ValidationReport(
-            subject=self.subject,
-            errors=tuple(errors),
-            warnings=tuple(warnings),
-        )
-
-    def delta(self, **changes: object) -> "ScenarioSpec":
-        """Delta-copy: this spec with ``changes`` overlaid (cinnamon).
-
-        Replaces the ad-hoc ``dataclasses.replace`` chains: the copy
-        revalidates wherever it is materialized, so an inconsistent
-        variant fails at construction with the full violation list.
-        """
-        merged = dict(self.values)
-        for name, value in changes.items():
-            merged[name] = _normalize(value)
-        return ScenarioSpec.from_mapping(merged)
-
-    def to_scenario(self):
-        """Materialize the registry :class:`Scenario` (validates)."""
-        from .scenario import Scenario
-
-        return Scenario(**self.effective())
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON-ready dict of the *effective* parameter values."""
-        effective = self.effective()
-        return {
-            name: list(value) if isinstance(value, tuple) else value
-            for name, value in effective.items()
-        }
-
-    def canonical_json(self) -> str:
-        """Canonical one-line JSON (sorted keys) — diff/fuzz stable."""
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
-
-
-def spec_from_scenario(scenario) -> ScenarioSpec:
-    """The :class:`ScenarioSpec` equivalent of a ``Scenario`` dataclass."""
-    import dataclasses
-
-    return ScenarioSpec.from_mapping(
-        {
-            f.name: getattr(scenario, f.name)
-            for f in dataclasses.fields(scenario)
-        }
+    explicit = {name: normalize(value) for name, value in values.items()}
+    merged = {p.name: p.default for p in parameters if not p.required}
+    merged.update(explicit)
+    declared = {p.name for p in parameters}
+    errors: list[str] = []
+    warnings: list[str] = []
+    failed: set[str] = set()
+    for key in explicit:
+        if key not in declared:
+            errors.append(f"{key}: {unknown}")
+            failed.add(key)
+    for parameter in parameters:
+        if parameter.name not in merged:
+            errors.append(f"{parameter.name}: value is required")
+            failed.add(parameter.name)
+            continue
+        problems = parameter.violations(merged[parameter.name])
+        if problems:
+            errors.extend(problems)
+            failed.add(parameter.name)
+    for condition in conditions:
+        if any(name in failed for name in condition.requires):
+            continue
+        if condition.check(merged):
+            continue
+        line = condition.message(merged)
+        if condition.severity == "warning":
+            warnings.append(line)
+        else:
+            errors.append(line)
+    report = ValidationReport(
+        subject=subject, errors=tuple(errors), warnings=tuple(warnings)
     )
+    return merged, report
+
+
+def _parameter_names() -> str:
+    from .scenario import SCENARIO_PARAMETERS
+
+    return ", ".join(p.name for p in SCENARIO_PARAMETERS)
 
 
 def validate_scenario_values(
     values: Mapping[str, object]
 ) -> ValidationReport:
     """Validate a plain mapping against the scenario schema."""
-    return ScenarioSpec.from_mapping(values).validate()
+    from .scenario import SCENARIO_PARAMETERS
+
+    name = values.get("name")
+    _, report = validate_values(
+        values,
+        SCENARIO_PARAMETERS,
+        SCENARIO_CONDITIONS,
+        subject=f"scenario {name!r}" if name else "scenario spec",
+        unknown="unknown parameter; known parameters: "
+        + _parameter_names(),
+    )
+    return report
+
+
+def get_parameter(name: str) -> Parameter:
+    """The declared scenario :class:`Parameter` called ``name``."""
+    from .scenario import SCENARIO_PARAMETERS
+
+    for parameter in SCENARIO_PARAMETERS:
+        if parameter.name == name:
+            return parameter
+    raise ConfigurationError(
+        f"unknown scenario parameter {name!r}; known parameters: "
+        f"{_parameter_names()}"
+    )
 
 
 def describe_parameters() -> str:
     """Human-readable catalog of the declared schema + conditions."""
+    from .scenario import SCENARIO_PARAMETERS
+
     lines = ["scenario parameters:"]
     for p in SCENARIO_PARAMETERS:
         constraint = []
-        choices = p.resolved_choices()
-        if choices is not None:
-            constraint.append(f"choices={sorted(choices)}")
+        if p.choices is not None:
+            constraint.append(f"choices={sorted(p.choices)}")
         if p.bounds is not None:
             constraint.append(f"range=[{p.bounds[0]}, {p.bounds[1]}]")
         if p.optional:
             constraint.append("optional")
-        if p.default is not _MISSING and p.default is not None:
+        if p.default is not MISSING and p.default is not None:
             constraint.append(f"default={p.default!r}")
         suffix = f" ({'; '.join(constraint)})" if constraint else ""
         lines.append(
@@ -753,7 +557,9 @@ def _devices_in_room(values: Mapping[str, object]) -> bool:
 
 
 #: The declared room-geometry schema used by TOML ``[rooms.<name>]``
-#: tables; mirrors :class:`~repro.config.RoomConfig`.
+#: tables.  Deliberately not derived from :class:`~repro.config.RoomConfig`:
+#: a file must give the geometry keys RoomConfig has defaults for, and
+#: ``scatterers`` defaults to none rather than the paper-lab cabinets.
 ROOM_PARAMETERS: tuple[Parameter, ...] = (
     Parameter(
         name="width_m",
@@ -845,41 +651,17 @@ ROOM_CONDITIONS: tuple[Condition, ...] = (
 )
 
 
-def validate_room_values(
-    values: Mapping[str, object], subject: str = "room spec"
-) -> ValidationReport:
+def _validate_room(
+    values: Mapping[str, object], name: str
+) -> tuple[dict[str, object], ValidationReport]:
     """Aggregate-validate a room table against :data:`ROOM_PARAMETERS`."""
-    explicit = {
-        name: _normalize(value) for name, value in values.items()
-    }
-    index = {p.name: p for p in ROOM_PARAMETERS}
-    merged = {
-        p.name: p.default
-        for p in ROOM_PARAMETERS
-        if p.default is not _MISSING
-    }
-    merged.update(explicit)
-    errors: list[str] = []
-    failed: set[str] = set()
-    for key in explicit:
-        if key not in index:
-            errors.append(f"{key}: unknown room parameter")
-            failed.add(key)
-    for parameter in ROOM_PARAMETERS:
-        if parameter.required and parameter.name not in explicit:
-            errors.append(f"{parameter.name}: value is required")
-            failed.add(parameter.name)
-            continue
-        problems = parameter.violations(merged[parameter.name])
-        if problems:
-            errors.extend(problems)
-            failed.add(parameter.name)
-    for condition in ROOM_CONDITIONS:
-        if any(name in failed for name in condition.requires):
-            continue
-        if not condition.check(merged):
-            errors.append(condition.message(merged))
-    return ValidationReport(subject=subject, errors=tuple(errors))
+    return validate_values(
+        values,
+        ROOM_PARAMETERS,
+        ROOM_CONDITIONS,
+        subject=f"room {name!r}",
+        unknown="unknown room parameter",
+    )
 
 
 def build_room(values: Mapping[str, object], name: str):
@@ -888,18 +670,8 @@ def build_room(values: Mapping[str, object], name: str):
     Runs the aggregated room schema first — every violation reported
     at once — then materializes the (already consistent) dataclass.
     """
-    from ..config import RoomConfig
-
-    report = validate_room_values(values, subject=f"room {name!r}")
+    merged, report = _validate_room(values, name)
     report.raise_for_errors()
-    merged = {
-        p.name: p.default
-        for p in ROOM_PARAMETERS
-        if p.default is not _MISSING
-    }
-    merged.update(
-        {key: _normalize(value) for key, value in values.items()}
-    )
     return RoomConfig(**merged)
 
 
@@ -931,7 +703,7 @@ def load_scenario_file(
     nothing; the aggregated error lists each bad table's full violation
     set.  Returns the loaded :class:`Scenario` objects in file order.
     """
-    from .scenario import ROOM_PRESETS, register_scenario
+    from .scenario import ROOM_PRESETS, Scenario, register_scenario
 
     path = Path(path)
     if not path.exists():
@@ -953,29 +725,27 @@ def load_scenario_file(
     errors: list[str] = []
     built_rooms = {}
     for room_name, table in rooms.items():
-        report = validate_room_values(
-            table, subject=f"room {room_name!r}"
-        )
-        if report.errors:
-            errors.extend(report.errors)
-        else:
-            built_rooms[room_name] = build_room(table, room_name)
-    # Custom rooms must be visible to scenario validation below.
+        merged, report = _validate_room(table, room_name)
+        errors.extend(report.errors)
+        if report.ok:
+            built_rooms[room_name] = RoomConfig(**merged)
+    # Custom rooms must be visible to scenario validation below; a
+    # failed load puts the registry back exactly as it found it.
+    previous_rooms = dict(ROOM_PRESETS)
     ROOM_PRESETS.update(built_rooms)
-    specs = [ScenarioSpec.from_mapping(entry) for entry in entries]
-    for spec in specs:
-        report = spec.validate()
+    for entry in entries:
+        report = validate_scenario_values(entry)
         errors.extend(
             f"{report.subject}: {line}" for line in report.errors
         )
     if errors:
-        for room_name in built_rooms:
-            ROOM_PRESETS.pop(room_name, None)
+        ROOM_PRESETS.clear()
+        ROOM_PRESETS.update(previous_rooms)
         raise ConfigurationError(
             f"{path.name} failed validation with {len(errors)} "
             "violation(s): " + "; ".join(errors)
         )
-    scenarios = [spec.to_scenario() for spec in specs]
+    scenarios = [Scenario(**entry) for entry in entries]
     if register:
         for scenario in scenarios:
             register_scenario(scenario, replace=replace)
@@ -1000,6 +770,8 @@ def _draw_values(
     rng: random.Random, seed: int, index: int, scale: str
 ) -> dict[str, object]:
     """One (possibly invalid) uniform draw from the declared ranges."""
+    from .scenario import ROOM_PRESETS
+
     if scale == "tiny":
         base = "tiny"
         num_sets = 3
@@ -1020,7 +792,7 @@ def _draw_values(
         "description": f"seeded sample {index} of scenario space "
         f"(seed {seed})",
         "base": base,
-        "room": rng.choice(tuple(_room_choices())),
+        "room": rng.choice(tuple(ROOM_PRESETS)),
         "trajectory": rng.choice(TRAJECTORY_PRESETS),
         "num_humans": rng.randint(1, 3),
         "speed_range_mps": rng.choice((None, (low, high))),
@@ -1047,20 +819,22 @@ def _draw_values(
     }
 
 
-def sample_scenario_specs(
+def sample_scenarios(
     seed: int, count: int, scale: str = "full"
-) -> list[ScenarioSpec]:
-    """Draw ``count`` *valid* scenario specs from the declared ranges.
+) -> list:
+    """Draw ``count`` *valid* scenarios from the declared ranges.
 
     Rejection sampling over :func:`_draw_values`: each candidate is a
     uniform draw from every parameter's declared range/choices; draws
     violating a declared condition (e.g. a grouped trajectory with one
-    human) are discarded and redrawn, so every returned spec validates
-    and resolves.  The sequence is a pure function of ``(seed, count,
-    scale)`` — :class:`random.Random` is process- and platform-stable —
-    which is what makes the fuzz suite and the nightly determinism
-    sentinel reproducible.
+    human) are discarded and redrawn, so every returned scenario
+    validates and resolves.  The sequence is a pure function of
+    ``(seed, count, scale)`` — :class:`random.Random` is process- and
+    platform-stable — which is what makes the fuzz suite and the
+    nightly determinism sentinel reproducible.
     """
+    from .scenario import Scenario
+
     if scale not in SAMPLE_SCALES:
         raise ConfigurationError(
             f"unknown sample scale {scale!r}; expected one of "
@@ -1069,28 +843,16 @@ def sample_scenario_specs(
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count}")
     rng = random.Random(int(seed))
-    specs: list[ScenarioSpec] = []
+    scenarios: list = []
     attempts = 0
-    while len(specs) < count:
+    while len(scenarios) < count:
         attempts += 1
         if attempts > 100 * count:
             raise ConfigurationError(
-                "sampler failed to draw enough valid specs; the "
+                "sampler failed to draw enough valid scenarios; the "
                 "declared ranges are inconsistent with the conditions"
             )
-        spec = ScenarioSpec.from_mapping(
-            _draw_values(rng, int(seed), len(specs), scale)
-        )
-        if spec.validate().ok:
-            specs.append(spec)
-    return specs
-
-
-def sample_scenarios(
-    seed: int, count: int, scale: str = "full"
-) -> list:
-    """:func:`sample_scenario_specs` materialized as ``Scenario`` objects."""
-    return [
-        spec.to_scenario()
-        for spec in sample_scenario_specs(seed, count, scale=scale)
-    ]
+        values = _draw_values(rng, int(seed), len(scenarios), scale)
+        if validate_scenario_values(values).ok:
+            scenarios.append(Scenario(**values))
+    return scenarios

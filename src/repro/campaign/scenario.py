@@ -17,24 +17,49 @@ their derived member scenarios here too — a grid member like
 ``smoke-grid/snr_db=6,seed=0,speed=0.4-0.8`` is a first-class scenario
 every step builder accepts by name.
 
-Validation is delegated to the scenario language in
-:mod:`repro.campaign.params`: every field is a declared
-:class:`~repro.campaign.params.Parameter` and cross-field rules are
-declared :class:`~repro.campaign.params.Condition` objects, so an
-inconsistent scenario fails at construction with the *full* list of
-violations.  :meth:`Scenario.variant` delta-copies through the same
-schema, and scenarios can be loaded from TOML/JSON files
-(:func:`~repro.campaign.params.load_scenario_file`) or sampled from the
-declared ranges (:func:`~repro.campaign.params.sample_scenarios`).
+The :class:`Scenario` dataclass is the scenario schema: each field is
+declared once with :func:`~repro.campaign.params.param`, and
+:data:`SCENARIO_PARAMETERS` (the
+:class:`~repro.campaign.params.Parameter` list ``repro scenarios
+describe`` prints) is derived from those declarations.  Construction
+turns lists into tuples and validates against the schema and the
+declared cross-field :class:`~repro.campaign.params.Condition`
+objects, so an inconsistent scenario fails with the *full* list of
+violations.  :meth:`Scenario.variant` is a ``dataclasses.replace``
+that re-runs the same validation, and scenarios can be loaded from
+TOML/JSON files (:func:`~repro.campaign.params.load_scenario_file`) or
+sampled from the declared ranges
+(:func:`~repro.campaign.params.sample_scenarios`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 from dataclasses import dataclass
 
-from ..config import MobilityConfig, RoomConfig, SimulationConfig
+from ..config import (
+    SPEED_PROFILES,
+    TRAJECTORY_PRESETS,
+    MobilityConfig,
+    RoomConfig,
+    SimulationConfig,
+)
 from ..errors import ConfigurationError, NotFoundError
+from ..stream.traffic import QOS_MIXES, validate_traffic
+from .params import (
+    MOBILITY_SPEED_BOUNDS_MPS,
+    NUM_HUMANS_BOUNDS,
+    NUM_SETS_BOUNDS,
+    PACKETS_PER_SET_BOUNDS,
+    SEED_BOUNDS,
+    SNR_BOUNDS_DB,
+    STREAM_LINKS_BOUNDS,
+    normalize,
+    param,
+    parameters_of,
+    validate_scenario_values,
+)
 
 #: Room-geometry presets selectable by name from a scenario.
 ROOM_PRESETS: dict[str, RoomConfig] = {
@@ -82,75 +107,170 @@ _BASE_PRESETS = {
 }
 
 
+def _traffic_violation(value: object) -> str | None:
+    """Validate an arrival-process spec string (``mixed`` allowed)."""
+    try:
+        validate_traffic(str(value))
+    except ConfigurationError as exc:
+        return str(exc)
+    return None
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One named, declarative campaign configuration.
 
     Every field is plain data so scenarios hash stably into dataset
     cache keys; :meth:`resolve` materializes the corresponding
-    :class:`~repro.config.SimulationConfig`.
+    :class:`~repro.config.SimulationConfig`.  Each field is declared
+    once, with :func:`~repro.campaign.params.param`;
+    :data:`SCENARIO_PARAMETERS` is derived from those declarations.
     """
 
-    #: Registry name (kebab-case by convention).
-    name: str
-    #: One-line summary printed by ``repro list-scenarios``.
-    description: str
-    #: Base dimension preset: ``"paper"``, ``"reduced"`` or ``"tiny"``.
-    base: str = "reduced"
-    #: Room-geometry preset key from :data:`ROOM_PRESETS`.
-    room: str = "paper-lab"
-    #: Human-trajectory preset (``"random-waypoint"`` or ``"crossing"``).
-    trajectory: str = "random-waypoint"
-    #: Number of simultaneous humans walking the movement area.
-    num_humans: int = 1
-    #: Walking-speed range override ``(min, max)`` in m/s.
-    speed_range_mps: tuple[float, float] | None = None
-    #: Per-walker speed assignment: ``"uniform"`` (all walkers share
-    #: the full range) or ``"heterogeneous"`` (disjoint per-walker
-    #: bands; see :func:`repro.channel.walker_speed_band`).
-    speed_profile: str = "uniform"
-    #: Operating-point SNR override for single-point campaigns.
-    snr_db: float | None = None
-    #: SNR grid evaluated by ``repro sweep`` (highest first in reports).
-    snr_grid_db: tuple[float, ...] = (3.0, 6.0, 9.5, 12.0)
-    #: Measurement-set count override (packet budget = sets x packets).
-    num_sets: int | None = None
-    #: Packets-per-set override.
-    packets_per_set: int | None = None
-    #: Campaign seed override.
-    seed: int | None = None
-    #: Concurrent links the ``repro stream`` campaign replays by
-    #: default (each link walks its own seed-disjoint trajectory).
-    stream_links: int = 4
-    #: Arrival-process spec capacity runs drive the links with
-    #: (``periodic[:R]``, ``poisson:R``, ``onoff:R:ON:OFF``,
-    #: ``diurnal:R:P[:D]`` or ``mixed``).  Stream-only: never part of
-    #: :meth:`resolve`, so dataset cache keys are unaffected.
-    traffic: str = "periodic"
-    #: QoS class mix capacity runs schedule against (see
-    #: :data:`repro.stream.traffic.QOS_MIXES`).  Stream-only, like
-    #: :attr:`traffic`.
-    qos: str = "uniform"
-    #: Free-form labels shown by ``repro list-scenarios``.
-    tags: tuple[str, ...] = ()
+    name: str = param(
+        description="Registry name (kebab-case by convention)",
+        allowed=lambda v: "must not be empty" if not v else None,
+        tags=("identity",),
+    )
+    description: str = param(
+        description="One-line summary printed by `repro list-scenarios`",
+        tags=("identity",),
+    )
+    base: str = param(
+        "reduced",
+        description="Base dimension preset the scenario derives from",
+        choices=_BASE_PRESETS,
+        label="base preset",
+        tags=("dimensions",),
+    )
+    room: str = param(
+        "paper-lab",
+        description="Room-geometry preset key (see ROOM_PRESETS)",
+        choices=ROOM_PRESETS,
+        label="room preset",
+        tags=("environment",),
+    )
+    trajectory: str = param(
+        "random-waypoint",
+        description="Human-trajectory preset walked by every set",
+        choices=TRAJECTORY_PRESETS,
+        label="trajectory preset",
+        tags=("mobility",),
+    )
+    num_humans: int = param(
+        1,
+        description="Simultaneous humans walking the movement area",
+        bounds=NUM_HUMANS_BOUNDS,
+        tags=("mobility",),
+    )
+    speed_range_mps: tuple[float, float] | None = param(
+        None,
+        description="Walking-speed override (min, max) in m/s",
+        length=(2, 2),
+        bounds=MOBILITY_SPEED_BOUNDS_MPS,
+        label="walking speed",
+        tags=("mobility",),
+    )
+    #: See :func:`repro.channel.walker_speed_band` for the bands.
+    speed_profile: str = param(
+        "uniform",
+        description=(
+            "Per-walker speed assignment: every walker draws from the "
+            "full range ('uniform') or from its own disjoint band "
+            "('heterogeneous')"
+        ),
+        choices=SPEED_PROFILES,
+        label="speed profile",
+        tags=("mobility",),
+    )
+    snr_db: float | None = param(
+        None,
+        description="Operating-point SNR override in dB",
+        bounds=SNR_BOUNDS_DB,
+        label="SNR",
+        tags=("channel",),
+    )
+    #: Reports list the grid highest first.
+    snr_grid_db: tuple[float, ...] = param(
+        (3.0, 6.0, 9.5, 12.0),
+        description="SNR grid in dB evaluated by `repro sweep`",
+        length=(1, 16),
+        bounds=SNR_BOUNDS_DB,
+        label="SNR",
+        tags=("channel",),
+    )
+    #: The packet budget is sets x packets.
+    num_sets: int | None = param(
+        None,
+        description="Measurement-set count override",
+        bounds=NUM_SETS_BOUNDS,
+        tags=("dimensions",),
+    )
+    packets_per_set: int | None = param(
+        None,
+        description="Packets-per-set override",
+        bounds=PACKETS_PER_SET_BOUNDS,
+        tags=("dimensions",),
+    )
+    seed: int | None = param(
+        None,
+        description="Campaign seed override",
+        bounds=SEED_BOUNDS,
+        tags=("dimensions",),
+    )
+    #: Each link walks its own seed-disjoint trajectory.
+    stream_links: int = param(
+        4,
+        description="Concurrent links `repro stream` replays by default",
+        bounds=STREAM_LINKS_BOUNDS,
+        tags=("stream",),
+    )
+    #: Stream-only: never part of :meth:`resolve`, so dataset cache
+    #: keys are unaffected.
+    traffic: str = param(
+        "periodic",
+        description=(
+            "Arrival-process model for capacity runs: periodic[:R], "
+            "poisson:R, onoff:R:ON:OFF, diurnal:R:P[:D], or 'mixed'"
+        ),
+        label="traffic spec",
+        allowed=_traffic_violation,
+        tags=("stream", "traffic"),
+    )
+    #: Stream-only, like :attr:`traffic`.
+    qos: str = param(
+        "uniform",
+        description="QoS class mix capacity runs schedule against",
+        choices=QOS_MIXES,
+        label="QoS mix",
+        tags=("stream", "traffic"),
+    )
+    tags: tuple[str, ...] = param(
+        (),
+        description="Free-form labels shown by `repro list-scenarios`",
+        length=(0, 16),
+        tags=("identity",),
+    )
 
     def __post_init__(self) -> None:
-        from .params import spec_from_scenario
-
-        spec_from_scenario(self).validate().raise_for_errors()
+        for name, value in vars(self).items():
+            object.__setattr__(self, name, normalize(value))
+        validate_scenario_values(vars(self)).raise_for_errors()
 
     def variant(self, **overrides: object) -> "Scenario":
         """Delta-copy: this scenario with ``overrides`` applied.
 
-        Routes through the :class:`~repro.campaign.params.ScenarioSpec`
-        schema, so an inconsistent variant fails at construction with
-        the full aggregated violation list (replacing the old ad-hoc
-        ``dataclasses.replace`` chains).
+        A ``dataclasses.replace`` — construction re-runs the schema, so
+        an inconsistent variant fails with the full aggregated
+        violation list.
         """
-        from .params import spec_from_scenario
+        return dataclasses.replace(self, **overrides)
 
-        spec = spec_from_scenario(self).delta(**overrides)
-        return spec.to_scenario()
+    def canonical_json(self) -> str:
+        """Canonical one-line JSON (sorted keys) — diff/fuzz stable."""
+        return json.dumps(
+            vars(self), sort_keys=True, separators=(",", ":")
+        )
 
     def resolve(self) -> SimulationConfig:
         """Materialize the concrete :class:`SimulationConfig`.
@@ -205,6 +325,9 @@ class Scenario:
             config = config.replace(seed=self.seed)
         return config
 
+
+#: The scenario schema, derived once from the field declarations.
+SCENARIO_PARAMETERS = parameters_of(Scenario)
 
 _REGISTRY: dict[str, Scenario] = {}
 

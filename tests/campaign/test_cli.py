@@ -226,6 +226,27 @@ class TestScenariosSubcommand:
         assert '"name":"tiny"' in out
         assert "ok" in out
 
+    def test_describe_warns_about_a_solo_crossing(self, capsys):
+        assert (
+            main(["scenarios", "describe", "--scenario", "stream-smoke"])
+            == 0
+        )
+        assert "warning: solo-crossing" in capsys.readouterr().out
+
+    def test_sample_register_makes_scenarios_resolvable(
+        self, capsys, monkeypatch
+    ):
+        from repro.campaign import scenario as scenario_module
+
+        monkeypatch.setattr(
+            scenario_module, "_REGISTRY", dict(scenario_module._REGISTRY)
+        )
+        argv = ["scenarios", "sample", "--seed", "3", "--count", "2"]
+        assert main([*argv, "--register"]) == 0
+        assert "2 sampled scenario(s) registered" in capsys.readouterr().out
+        scenario = scenario_module.get_scenario("sampled-3-0000")
+        assert scenario.resolve() is not None
+
     def test_sample_prints_canonical_json_lines(self, capsys):
         assert (
             main(["scenarios", "sample", "--seed", "3", "--count", "4"])
